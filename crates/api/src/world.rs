@@ -12,7 +12,7 @@ use dv_core::time::Time;
 use dv_core::trace::Tracer;
 use dv_core::{NodeId, Word};
 use dv_sim::{Kernel, Pipe, WaitSet};
-use dv_switch::{LinkFaultInjector, NetworkTopology, SwitchModel};
+use dv_switch::{LinkFaultInjector, SwitchModel};
 use dv_vic::{PciePath, Vic};
 
 /// State of the hardware barrier engine (implemented with the two reserved
@@ -156,7 +156,7 @@ impl DvWorld {
     /// Instantaneous switch load estimate in `[0, 1]`: in-flight packets
     /// over the number of switching cells.
     pub fn load(&self) -> f64 {
-        let cells = self.switch.net().node_count() as f64;
+        let cells = self.switch.topology().nodes() as f64;
         (self.in_flight.load(Ordering::Relaxed).max(0) as f64 / cells).min(1.0)
     }
 

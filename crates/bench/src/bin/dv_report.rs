@@ -23,8 +23,10 @@
 //!   floor 3); `net_smoke` gates the rebuilt rival-topology routed
 //!   engine's cycles/sec speedup over the frozen pre-rebuild reference
 //!   on sparse 4096-port traffic (default floor 3); anything else is
-//!   the scheduler floor — the sharded engine's 1024-node pump speedup
-//!   over the frozen pre-sharding reference (default floor 4).
+//!   the scheduler gate — the sharded engine's 1024-node pump speedup
+//!   over the frozen pre-sharding reference (default floor 4), and its
+//!   1024-node ring speedup, which must be at least 1 (never slower than
+//!   the reference on the handoff-bound row).
 
 use dv_bench::report::render_report;
 use dv_core::json::Json;
@@ -57,18 +59,20 @@ fn arena_cycles_per_sec(doc: &Json) -> Result<f64, String> {
     Err("no section with an arena+worklist cycles/sec row".into())
 }
 
-/// The sharded-over-reference speedup for the `pump` workload at `nodes`
-/// in a `sched_smoke` artifact (`dv-bench-v1` schema). The pump row is
-/// the dispatch-throughput figure; the ring rows are context-switch
-/// bound and deliberately not gated.
-fn sched_speedup_at(doc: &Json, nodes: usize) -> Result<f64, String> {
+/// Floor on the sharded engine's `ring@1024` speedup: every ring message
+/// is a real thread handoff, so this row catches a dispatcher that makes
+/// handoffs slower than the reference engine's.
+const RING_FLOOR: f64 = 1.0;
+
+/// The sharded-over-reference speedup in the speedup row named `name`
+/// (e.g. `pump@1024`) of a `sched_smoke` artifact (`dv-bench-v1` schema).
+fn sched_speedup(doc: &Json, name: &str) -> Result<f64, String> {
     if doc.get("schema").and_then(Json::as_str) != Some("dv-bench-v1") {
         return Err("not a dv-bench-v1 artifact".into());
     }
     if doc.get("bench").and_then(Json::as_str) != Some("sched_smoke") {
         return Err("not a sched_smoke artifact".into());
     }
-    let want = format!("pump@{nodes}");
     let results = doc.get("results").and_then(Json::as_arr).unwrap_or_default();
     for section in results {
         let headers = section.get("headers").and_then(Json::as_arr).unwrap_or_default();
@@ -77,16 +81,16 @@ fn sched_speedup_at(doc: &Json, nodes: usize) -> Result<f64, String> {
         };
         for row in section.get("rows").and_then(Json::as_arr).unwrap_or_default() {
             let cells = row.as_arr().unwrap_or_default();
-            if cells.first().and_then(Json::as_str) == Some(&want) {
+            if cells.first().and_then(Json::as_str) == Some(name) {
                 return cells
                     .get(col)
                     .and_then(Json::as_str)
                     .and_then(|s| s.parse::<f64>().ok())
-                    .ok_or_else(|| format!("pump@{nodes} row has no numeric speedup"));
+                    .ok_or_else(|| format!("{name} row has no numeric speedup"));
             }
         }
     }
-    Err(format!("no section with a pump@{nodes} speedup row"))
+    Err(format!("no section with a {name} speedup row"))
 }
 
 /// A named figure from a metric/value summary section of a `dv-bench-v1`
@@ -135,6 +139,51 @@ fn load(path: &str) -> Result<Json, String> {
     Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Check a single artifact against its absolute floors, dispatched on
+/// its `bench` field: perf_smoke gates the wide movement kernel,
+/// net_smoke the rival-topology routed engine, anything else is the
+/// scheduler (pump and ring rows). `min_speedup` overrides the first
+/// floor. Returns the process exit code.
+fn gate_floors(doc: &Json, min_speedup: Option<f64>) -> i32 {
+    let checks = match doc.get("bench").and_then(Json::as_str) {
+        Some("perf_smoke") => {
+            let figure = summary_figure(doc, "wide cycles/sec speedup")
+                .map(|x| (x, "batched wide-kernel movement speedup at H=2048"));
+            vec![("wide", figure, min_speedup.unwrap_or(3.0))]
+        }
+        Some("net_smoke") => {
+            let figure = summary_figure(doc, "net cycles/sec speedup")
+                .map(|x| (x, "routed-path speedup over the frozen reference at 4096 ports"));
+            vec![("net", figure, min_speedup.unwrap_or(3.0))]
+        }
+        _ => {
+            let pump = sched_speedup(doc, "pump@1024")
+                .map(|x| (x, "sharded pump speedup at 1024 nodes"));
+            let ring = sched_speedup(doc, "ring@1024")
+                .map(|x| (x, "sharded ring speedup at 1024 nodes"));
+            vec![("sched", pump, min_speedup.unwrap_or(4.0)), ("sched", ring, RING_FLOOR)]
+        }
+    };
+    let mut code = 0;
+    for (name, figure, floor) in checks {
+        let (speedup, what) = match figure {
+            Ok(x) => x,
+            Err(e) => {
+                eprintln!("gate: {e}");
+                return 2;
+            }
+        };
+        println!("{name} gate: {what} = {speedup:.2}x");
+        if speedup < floor {
+            eprintln!("{name} gate FAILED: below the {floor:.2}x floor");
+            code = 1;
+        } else {
+            println!("{name} gate passed (floor: {floor:.2}x)");
+        }
+    }
+    code
+}
+
 /// Run the perf-trajectory gate; returns the process exit code.
 fn run_gate(args: &[String]) -> i32 {
     let mut max_regress_pct = 10.0;
@@ -163,41 +212,7 @@ fn run_gate(args: &[String]) -> i32 {
                 return 2;
             }
         };
-        // Dispatch on the artifact: perf_smoke gates the wide movement
-        // kernel, net_smoke the rival-topology routed engine, anything
-        // else is the scheduler floor.
-        let (name, figure, floor) = match doc.get("bench").and_then(Json::as_str) {
-            Some("perf_smoke") => {
-                let figure = summary_figure(&doc, "wide cycles/sec speedup")
-                    .map(|x| (x, "batched wide-kernel movement speedup at H=2048"));
-                ("wide", figure, min_speedup.unwrap_or(3.0))
-            }
-            Some("net_smoke") => {
-                let figure = summary_figure(&doc, "net cycles/sec speedup").map(|x| {
-                    (x, "routed-path speedup over the frozen reference at 4096 ports")
-                });
-                ("net", figure, min_speedup.unwrap_or(3.0))
-            }
-            _ => {
-                let figure = sched_speedup_at(&doc, 1024)
-                    .map(|x| (x, "sharded speedup at 1024 nodes"));
-                ("sched", figure, min_speedup.unwrap_or(4.0))
-            }
-        };
-        let (speedup, what) = match figure {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("gate: {e}");
-                return 2;
-            }
-        };
-        println!("{name} gate: {what} = {speedup:.2}x");
-        if speedup < floor {
-            eprintln!("{name} gate FAILED: below the {floor:.2}x floor");
-            return 1;
-        }
-        println!("{name} gate passed (floor: {floor:.2}x)");
-        return 0;
+        return gate_floors(&doc, min_speedup);
     }
     let [current_path, previous_path] = files[..] else {
         eprintln!(
@@ -308,5 +323,50 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A minimal `sched_smoke` artifact with the given speedup rows.
+    fn sched_doc(rows: &[(&str, &str)]) -> Json {
+        let rows: Vec<String> =
+            rows.iter().map(|(name, x)| format!("[\"{name}\", \"{x}\"]")).collect();
+        let text = format!(
+            "{{\"schema\": \"dv-bench-v1\", \"bench\": \"sched_smoke\", \"results\": \
+             [{{\"headers\": [\"workload\", \"speedup\"], \"rows\": [{}]}}]}}",
+            rows.join(", ")
+        );
+        Json::parse(&text).unwrap()
+    }
+
+    #[test]
+    fn committed_sim_baseline_passes() {
+        let doc = Json::parse(include_str!("../../../../results/BENCH_sim.json")).unwrap();
+        assert_eq!(gate_floors(&doc, None), 0);
+    }
+
+    #[test]
+    fn pump_below_its_floor_fails() {
+        let below = sched_doc(&[("pump@1024", "3.99"), ("ring@1024", "1.50")]);
+        assert_eq!(gate_floors(&below, None), 1);
+        let at = sched_doc(&[("pump@1024", "4.00"), ("ring@1024", "1.50")]);
+        assert_eq!(gate_floors(&at, None), 0);
+    }
+
+    #[test]
+    fn ring_below_its_floor_fails() {
+        let below = sched_doc(&[("pump@1024", "8.00"), ("ring@1024", "0.99")]);
+        assert_eq!(gate_floors(&below, None), 1);
+        let at = sched_doc(&[("pump@1024", "8.00"), ("ring@1024", "1.00")]);
+        assert_eq!(gate_floors(&at, None), 0);
+    }
+
+    #[test]
+    fn missing_row_is_a_usage_error() {
+        assert_eq!(gate_floors(&sched_doc(&[("pump@1024", "8.00")]), None), 2);
+        assert_eq!(gate_floors(&sched_doc(&[("ring@1024", "1.50")]), None), 2);
     }
 }

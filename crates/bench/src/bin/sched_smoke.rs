@@ -10,14 +10,15 @@
 //!   self-resume fast path (parking *is* dispatching — zero context
 //!   switches); the pre-sharding engine pays its full channel round-trip
 //!   (two context switches, two allocating sends) per resume regardless.
-//!   This is the dispatch-throughput figure, and the one
-//!   `dv-report --gate BENCH_sim.json` enforces: the sharded engine must
-//!   clear 4x the reference at 1024 nodes.
+//!   This is the dispatch-throughput figure: `dv-report --gate
+//!   BENCH_sim.json` requires the sharded engine to clear 4x the
+//!   reference at 1024 nodes.
 //! * **Ring** — every node sends to its right neighbor and blocks on its
 //!   own port, in lockstep. Every message forces a real thread handoff
 //!   on *both* engines, so this row is bounded by the host's context
-//!   switch, not the event path; it is reported as the worst case but
-//!   not gated (on a single-core host it measures the OS scheduler).
+//!   switch, not the event path. It is the handoff-cost worst case, and
+//!   the gate requires the sharded engine to be no slower than the
+//!   reference here (ring speedup at 1024 nodes at least 1x).
 //!
 //! Like `perf_smoke` (and unlike every fig binary), this artifact records
 //! **wall-clock host measurements** — it is deliberately *not*

@@ -10,7 +10,7 @@
 //!   (poly if the top bit of x_k was set)`, i.e. multiplication by `x` in
 //!   GF(2)[x] modulo the primitive polynomial `x^63 + x^2 + x + 1`
 //!   (0x...7). Implementing the real stream (including the log-time
-//!   `starts(n)` jump function) keeps our GUPS runs bit-compatible with the
+//!   `starts(n)` jump function) keeps our GUPS runs bit-identical with the
 //!   reference benchmark's update pattern.
 
 /// The HPCC RandomAccess polynomial (x⁶³ + x² + x + 1 over GF(2)).

@@ -44,7 +44,7 @@ fn lock_recover<T: ?Sized>(m: &StdMutex<T>) -> StdMutexGuard<'_, T> {
 /// A mutex whose `lock()` never panics (poisoning is recovered) and which,
 /// when named, participates in the debug-mode lock-order audit.
 ///
-/// API-compatible with the subset of `parking_lot::Mutex` this workspace
+/// Mirrors the subset of the `parking_lot::Mutex` API this workspace
 /// uses: `lock()` returns the guard directly, with no `Result` to unwrap.
 #[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized> {

@@ -281,23 +281,6 @@ impl Kernel {
         }
         None
     }
-
-    /// Peek the pid of the next event *if* it is a currently-valid resume
-    /// for a process. Pure read — commits nothing, advances nothing — used
-    /// by the dispatcher as a pre-wake hint so the next-to-run process can
-    /// start waking while the current one executes. A wrong hint costs a
-    /// wasted wakeup, never correctness.
-    pub(crate) fn peek_next_resume(&self) -> Option<Pid> {
-        let shard = self.min_shard()?;
-        match self.shards[shard].peek() {
-            Some(Event { kind: EventKind::Resume(w), .. })
-                if self.park_generation[w.pid] == w.generation =>
-            {
-                Some(w.pid)
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -14,11 +14,6 @@
 //!   grants the target's [`Parker`] and goes passive (one wake, versus the
 //!   old engine's two context switches and two allocating channel sends
 //!   per event).
-//! * The driver also *pre-wakes* the process named by the next pending
-//!   event, so that thread's wakeup overlaps the current process's
-//!   execution; by the time its grant arrives it is spinning, and the
-//!   handoff is a single atomic store. Hints never commit anything — a
-//!   wrong hint costs a bounded spin, never determinism.
 //! * The host thread drives until the first handoff, then sleeps until a
 //!   driver reports the run's outcome (all foreground processes finished,
 //!   deadlock, or a process panic).
@@ -362,16 +357,6 @@ enum Driven {
     Ended,
 }
 
-/// Whether pre-wake spinning can possibly help: it burns one core to save
-/// a futex wake, so on a single-core host it only steals the CPU from the
-/// process that actually holds the run token.
-fn prewake_pays() -> bool {
-    static MULTICORE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MULTICORE.get_or_init(|| {
-        std::thread::available_parallelism().map(|n| n.get() > 1).unwrap_or(false)
-    })
-}
-
 /// One dispatch stint: commit events in global `(time, seq)` order until a
 /// resume hands the token to a process (or the queue drains). Exactly one
 /// thread runs this at a time — the token holder — which is what keeps the
@@ -379,17 +364,7 @@ fn prewake_pays() -> bool {
 fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
     let metrics = shared.metrics.lock().clone();
     loop {
-        // Pop the next committed event and, for resumes, peek the one
-        // after it as a pre-wake hint — one kernel lock for both.
-        let (next, hint) = {
-            let mut k = shared.kernel.lock();
-            let next = k.pop_valid();
-            let hint = match &next {
-                Some((_, EventKind::Resume(_))) => k.peek_next_resume(),
-                _ => None,
-            };
-            (next, hint)
-        };
+        let next = shared.kernel.lock().pop_valid();
         // Virtual-time telemetry sampling: advance the registry's sampler
         // to the event we are about to dispatch, so a sample at boundary
         // `b` captures exactly the events committed before the first
@@ -433,19 +408,6 @@ fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
                 }
                 if self_pid == Some(w.pid()) {
                     return Driven::RunSelf;
-                }
-                if let Some(h) = hint {
-                    // Overlap the *next* process's wakeup with the granted
-                    // process's execution.
-                    if h != w.pid() && self_pid != Some(h) && prewake_pays() {
-                        if let Some(hs) = reg.slots.get(h) {
-                            if !hs.finished {
-                                if let SlotWake::Parker(p) = &hs.wake {
-                                    p.prewake();
-                                }
-                            }
-                        }
-                    }
                 }
                 match &slot.wake {
                     SlotWake::Parker(p) => p.grant(),

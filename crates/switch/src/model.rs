@@ -16,19 +16,14 @@
 use dv_core::config::DvParams;
 use dv_core::time::Time;
 
-use crate::net::{AnyTopology, NetworkTopology};
 use crate::topology::Topology;
 use crate::traffic::{Arrival, LoadSweep, Pattern};
 
-/// Closed-form latency model of a switch/network.
-///
-/// Defaults to the Data Vortex cylinder graph; [`SwitchModel::for_net`]
-/// swaps in a rival topology so the same charging scheme (min hops plus a
-/// load-dependent contention penalty) prices a fat tree or min-path
-/// random-regular graph for comparison studies.
+/// Closed-form latency model of the Data Vortex switch: min hops on the
+/// cylinder graph plus a load-dependent contention penalty.
 #[derive(Debug, Clone)]
 pub struct SwitchModel {
-    net: AnyTopology,
+    topo: Topology,
     hop_time: Time,
     inject: Time,
     eject: Time,
@@ -40,7 +35,7 @@ impl SwitchModel {
     /// Model with the parameters of a [`DvParams`] machine description.
     pub fn from_params(dv: &DvParams) -> Self {
         Self {
-            net: AnyTopology::Vortex(Topology::new(dv.height, dv.angles)),
+            topo: Topology::new(dv.height, dv.angles),
             hop_time: dv.hop_time,
             inject: dv.inject_time,
             eject: dv.eject_time,
@@ -48,20 +43,9 @@ impl SwitchModel {
         }
     }
 
-    /// The same timing parameters over a different network graph.
-    pub fn for_net(net: AnyTopology, dv: &DvParams) -> Self {
-        Self {
-            net,
-            hop_time: dv.hop_time,
-            inject: dv.inject_time,
-            eject: dv.eject_time,
-            deflect_hops_at_saturation: dv.deflect_hops_at_saturation,
-        }
-    }
-
-    /// The modeled network.
-    pub fn net(&self) -> &AnyTopology {
-        &self.net
+    /// The modeled switch topology.
+    pub fn topology(&self) -> &Topology {
+        &self.topo
     }
 
     /// Expected extra hops at a given instantaneous load (0..=1).
@@ -75,8 +59,8 @@ impl SwitchModel {
     /// One-way VIC-to-VIC latency of a single packet between two ports at
     /// the given instantaneous switch load.
     pub fn traversal(&self, src_port: usize, dst_port: usize, load: f64) -> Time {
-        let p = self.net.ports();
-        let hops = self.net.min_hops(src_port % p, dst_port % p);
+        let p = self.topo.ports();
+        let hops = self.topo.min_hops(src_port % p, dst_port % p);
         let extra = self.deflection_hops(load);
         self.inject
             + ((hops as f64 + extra) * self.hop_time as f64).round() as Time
@@ -86,7 +70,7 @@ impl SwitchModel {
     /// Average one-way latency over all port pairs (used where per-pair
     /// resolution doesn't matter, e.g. barrier cost composition).
     pub fn mean_traversal(&self, load: f64) -> Time {
-        let p = self.net.ports();
+        let p = self.topo.ports();
         let mut total = 0u128;
         for s in 0..p {
             for d in 0..p {
@@ -100,7 +84,7 @@ impl SwitchModel {
     /// simulator under uniform traffic: measures mean deflections at high
     /// load and stores them. Returns the calibrated value.
     pub fn calibrate(&mut self, seed: u64) -> f64 {
-        let mut sweep = LoadSweep::for_net(self.net.clone());
+        let mut sweep = LoadSweep::new(self.topo.clone());
         sweep.pattern = Pattern::Uniform;
         sweep.arrival = Arrival::Bernoulli;
         sweep.warmup = 300;
@@ -126,7 +110,7 @@ mod tests {
     fn light_load_equals_min_hops() {
         let m = model();
         let t = m.traversal(0, 17, 0.0);
-        let hops = m.net().min_hops(0, 17) as u64;
+        let hops = m.topology().min_hops(0, 17) as u64;
         assert_eq!(t, m.inject + hops * m.hop_time + m.eject);
     }
 
