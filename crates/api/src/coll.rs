@@ -1,8 +1,5 @@
 //! Small collectives built on the Data Vortex API.
 //!
-//! (Moved here from `dv-apps` so kernels can use them too; `dv_apps::dvcoll`
-//! re-exports this module.)
-//!
 //! MPI ships collectives; the Data Vortex API does not — application codes
 //! compose them from DV-memory writes, group counters, and the status-page
 //! push (Section III). These are the idioms our applications share.

@@ -95,11 +95,6 @@ impl DvCtx {
         &self.world
     }
 
-    /// Convenience: a DV-memory write header from this node.
-    pub fn header_to(&self, dest: NodeId, address: u32, gc: u8) -> PacketHeader {
-        PacketHeader::dv_memory(self.node, dest, address, gc)
-    }
-
     // ------------------------------------------------------------------
     // Packet transmission
     // ------------------------------------------------------------------
@@ -444,13 +439,6 @@ impl DvCtx {
         let mut out = vec![0; n];
         self.world.vics[self.node].lock().memory.read_range(address, &mut out);
         out
-    }
-
-    /// Stage packet headers in DV memory for later cached sends. Costs one
-    /// host write of `headers.len()` words; returns when staged.
-    pub fn cache_headers(&self, ctx: &SimCtx, address: u32, headers: &[PacketHeader]) {
-        let words: Vec<Word> = headers.iter().map(|h| h.encode()).collect();
-        self.write_local(ctx, address, &words);
     }
 
     // ------------------------------------------------------------------

@@ -47,5 +47,5 @@ pub use aggregate::Aggregator;
 pub use cluster::DvCluster;
 pub use ctx::{Backpressure, DvCtx, SendMode};
 pub use gas::GlobalArray;
-pub use reliable::{ReliableConfig, ReliableFifo};
+pub use reliable::ReliableFifo;
 pub use world::DvWorld;

@@ -7,7 +7,7 @@ use dv_core::sync::Mutex;
 
 use dv_core::config::MachineConfig;
 use dv_core::metrics::MetricsRegistry;
-use dv_core::packet::{AddressSpace, Packet, PACKET_BYTES, PAYLOAD_BYTES};
+use dv_core::packet::{AddressSpace, Packet, PACKET_BYTES};
 use dv_core::time::Time;
 use dv_core::trace::Tracer;
 use dv_core::{NodeId, Word};
@@ -59,19 +59,8 @@ pub struct DvWorld {
 }
 
 impl DvWorld {
-    /// Build a world from a [`SimSpec`](dv_core::spec::SimSpec): nodes,
-    /// machine model (the switch is grown if the cluster exceeds its
-    /// ports), tracer, and metrics all come from the spec.
-    pub fn from_spec(spec: &dv_core::spec::SimSpec) -> Arc<Self> {
-        Self::from_parts(
-            spec.nodes,
-            spec.machine.clone(),
-            Arc::clone(&spec.tracer),
-            Arc::clone(&spec.metrics),
-        )
-    }
-
-    /// [`DvWorld::from_spec`] from explicit parts: network batches, packet
+    /// Build the world for `nodes` nodes on machine `config` (the switch
+    /// is grown if the cluster exceeds its ports). Network batches, packet
     /// and byte counts, batch-size histograms, and the analytic model's
     /// per-traversal deflection estimate are recorded under `api.net.*` /
     /// `switch.model.*` when `metrics` is enabled.
@@ -325,13 +314,6 @@ impl DvWorld {
         m.incr("api.net.bytes", bytes);
         m.observe("api.net.batch_packets", packets);
         m.observe("switch.model.deflection_hops", self.switch.deflection_hops(load).round() as u64);
-    }
-
-    /// Host-side PCIe + network cost for a batch in one call; returns the
-    /// time the batch is fully delivered. `by_dest` groups per-destination
-    /// packet runs.
-    pub fn wire_bytes(packets: usize, cached_headers: bool) -> u64 {
-        packets as u64 * if cached_headers { PAYLOAD_BYTES } else { PACKET_BYTES }
     }
 
     /// Bulk-transmission fast path: a set of contiguous DV-memory block

@@ -14,7 +14,7 @@ use dv_api::SendMode;
 use dv_core::config::ComputeParams;
 use dv_kernels::util::{charge, charge_mem_bytes};
 
-use crate::dvcoll;
+use dv_api::coll;
 
 use super::mpi::HeatRunResult;
 use super::{Face, HeatConfig, LocalBlock};
@@ -112,7 +112,7 @@ pub fn run_spec(cfg: HeatConfig, spec: dv_core::spec::SimSpec) -> HeatRunResult 
             charge(ctx, block.cells() as u64, compute.stencil_mcups * 1e6);
 
             if (step + 1) % cfg.report_every == 0 {
-                last_heat = dvcoll::allreduce_sum_f64(dv, ctx, block.local_heat());
+                last_heat = coll::allreduce_sum_f64(dv, ctx, block.local_heat());
             }
         }
         dv.fast_barrier(ctx);

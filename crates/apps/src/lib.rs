@@ -26,9 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dvcoll;
 pub mod fig9;
 pub mod heat;
 pub mod snap;
-pub mod transpose;
 pub mod vorticity;

@@ -1,13 +1,13 @@
 //! Distributed vorticity solver, generic over the transpose engine.
 
 use dv_core::config::ComputeParams;
-use dv_core::time::{as_secs_f64, Time};
+use dv_core::time::Time;
 use dv_kernels::fft::twod::fft2d_dist;
 use dv_kernels::fft::Complex;
 use dv_kernels::util::{charge_flops, charge_mem_bytes};
 use dv_sim::SimCtx;
 
-use crate::transpose::{DvTranspose, MpiTranspose, TransposeEngine};
+use dv_kernels::transpose::{DvTranspose, MpiTranspose, TransposeEngine};
 
 use super::{initial_vorticity, velocity_and_gradient_hat, VortConfig};
 
@@ -20,13 +20,6 @@ pub struct VortRunResult {
     pub omega_hat: Vec<Vec<Complex>>,
     /// 2-D FFTs performed.
     pub fft2d_count: u64,
-}
-
-impl VortRunResult {
-    /// Steps per second of virtual time for `steps` steps.
-    pub fn steps_per_sec(&self, steps: usize) -> f64 {
-        steps as f64 / as_secs_f64(self.elapsed)
-    }
 }
 
 /// The solver body: runs on every node; `local` spectral rows in, final

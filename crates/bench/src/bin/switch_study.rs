@@ -1,7 +1,7 @@
 //! Supplementary: cycle-accurate Data Vortex switch characterization.
 //!
 //! Reproduces the methodology of the robustness studies the paper cites
-//! (refs [14][15]): offered-load sweeps per traffic pattern, reporting
+//! (refs \[14\]\[15\]): offered-load sweeps per traffic pattern, reporting
 //! accepted throughput, latency, and deflections, plus the topology
 //! summary of Figure 1 and the analytic-model calibration.
 

@@ -23,14 +23,10 @@
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
+use dv_core::fnv::{fnv1a, FNV_OFFSET};
 use dv_core::json::Json;
 use dv_core::metrics::{MetricsRegistry, MetricsSnapshot, TimeseriesSample};
 use dv_core::time::{us, Time};
-
-/// FNV-1a offset basis (the same constants as `MetricsSnapshot::fnv_hash`).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Default sampling interval: 10 µs of virtual time.
 const DEFAULT_INTERVAL: Time = us(10);
@@ -41,42 +37,20 @@ const RING_CAPACITY: usize = 4096;
 /// The `--stream <path|->` (or `--stream=path`) argument, if present.
 /// `-` streams to stdout.
 pub fn stream_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--stream" {
-            return Some(args.next().unwrap_or_else(|| {
-                eprintln!("--stream requires a path (or `-` for stdout)");
-                std::process::exit(2);
-            }));
-        }
-        if let Some(p) = a.strip_prefix("--stream=") {
-            return Some(p.to_string());
-        }
-    }
-    None
+    crate::arg_value("--stream")
 }
 
 /// The `--stream-interval <us>` argument (virtual microseconds between
 /// samples), defaulting to 10 µs.
 pub fn stream_interval_ps() -> Time {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        let v = if a == "--stream-interval" {
-            args.next()
-        } else {
-            a.strip_prefix("--stream-interval=").map(str::to_string)
-        };
-        if let Some(v) = v {
-            match v.parse::<u64>() {
-                Ok(n) if n > 0 => return us(n),
-                _ => {
-                    eprintln!("--stream-interval requires a positive integer (microseconds)");
-                    std::process::exit(2);
-                }
-            }
+    match crate::arg_value("--stream-interval").map(|v| v.parse::<u64>()) {
+        None => DEFAULT_INTERVAL,
+        Some(Ok(n)) if n > 0 => us(n),
+        Some(_) => {
+            eprintln!("--stream-interval requires a positive integer (microseconds)");
+            std::process::exit(2);
         }
     }
-    DEFAULT_INTERVAL
 }
 
 /// Shared sink state: the output, plus the running FNV over sample lines.
@@ -92,10 +66,7 @@ impl SinkState {
     /// end line *carries* the hash).
     fn line(&mut self, text: &str, hashed: bool) {
         if hashed {
-            for b in text.bytes().chain(std::iter::once(b'\n')) {
-                self.fnv ^= b as u64;
-                self.fnv = self.fnv.wrapping_mul(FNV_PRIME);
-            }
+            self.fnv = fnv1a(fnv1a(self.fnv, text.as_bytes()), b"\n");
             self.samples += 1;
         }
         if writeln!(self.out, "{text}").and_then(|_| self.out.flush()).is_err() {

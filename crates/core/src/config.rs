@@ -82,11 +82,6 @@ impl DvParams {
     pub fn base_hops(&self) -> usize {
         self.cylinders() + self.angles / 2
     }
-
-    /// Uncontended switch traversal latency.
-    pub fn base_traversal(&self) -> Time {
-        self.base_hops() as Time * self.hop_time
-    }
 }
 
 /// PCI Express path between host memory and the VIC.

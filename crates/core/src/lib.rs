@@ -23,6 +23,7 @@
 //!   drops/duplications, ejection stalls, forced FIFO overflow, group
 //!   counter set delays); every decision is a pure function of the seed
 //!   and a per-site sequence number, so chaos runs replay exactly.
+//! * [`fnv`] — the FNV-1a/64 byte fold every determinism hash shares.
 //! * [`sync`] — the simulation-safe [`sync::Mutex`] (poison-recovering
 //!   `lock()`, debug-mode lock-order auditing) used by every crate that
 //!   shares state between simulated processes.
@@ -34,7 +35,7 @@
 //!   and parser, used for `BENCH_*.json` benchmark artifacts.
 //! * [`spec`] — [`spec::SimSpec`], the single builder every simulation
 //!   backend consumes (nodes, engine + shards, machine model, faults,
-//!   tracer, metrics, telemetry stream), and [`spec::RunReport`], what the
+//!   tracer, metrics), and [`spec::RunReport`], what the
 //!   unified `run()` entry points return.
 
 #![forbid(unsafe_code)]
@@ -42,6 +43,7 @@
 
 pub mod config;
 pub mod fault;
+pub mod fnv;
 pub mod json;
 pub mod metrics;
 pub mod packet;

@@ -13,7 +13,7 @@
 //! * **Deterministic when on.** Metrics are keyed by a static `&str`
 //!   name plus a `BTreeMap` of labels, so iteration order — and therefore
 //!   the rendered JSON — is stable. A [`MetricsSnapshot`] is FNV-hashable
-//!   like an [`OrderAudit`] trace: two runs of the same workload must
+//!   like an `OrderAudit` trace: two runs of the same workload must
 //!   produce bit-identical snapshots, and `tests/determinism.rs` asserts
 //!   exactly that.
 //!
@@ -25,16 +25,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::fnv::{fnv1a, FNV_OFFSET};
 use crate::json::Json;
 use crate::stats::Log2Histogram;
 use crate::sync::Mutex;
 use crate::time::Time;
 use crate::trace::Tracer;
-
-/// FNV-1a offset basis (shared with `dv_sim::OrderAudit`).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Default histogram depth: log₂ buckets up to 2^47 (enough for any
 /// picosecond duration the simulations produce).
@@ -465,16 +461,9 @@ impl Timeseries {
     /// FNV-1a hash over the canonical rendering of every retained sample
     /// — the series counterpart of [`MetricsSnapshot::fnv_hash`].
     pub fn fnv_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for s in &self.samples {
-            for b in s.to_json().render().bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h ^= b'\n' as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        self.samples.iter().fold(FNV_OFFSET, |h, s| {
+            fnv1a(fnv1a(h, s.to_json().render().as_bytes()), b"\n")
+        })
     }
 
     /// Record the state `snap` observed at virtual time `t_ps`: the delta
@@ -631,12 +620,7 @@ impl MetricsSnapshot {
     /// FNV-1a hash over the canonical rendering — the metrics counterpart
     /// of `OrderAudit::hash`.
     pub fn fnv_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for b in self.render().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        fnv1a(FNV_OFFSET, self.render().as_bytes())
     }
 
     /// Rebuild a snapshot from its [`MetricsSnapshot::to_json`] form

@@ -1,14 +1,10 @@
 //! `SimSpec` — the one builder every simulation backend consumes.
 //!
-//! Historically each backend grew its own constructor family
-//! (`DvCluster::new/with_metrics/with_tracer`, `MpiCluster::…`,
-//! `DvWorld::new/new_with_metrics`, `Vic::new/with_faults`,
-//! `World::new/new_with_metrics`) and each kernel grew three parallel entry
-//! points (`run` / `run_hashed` / `run_instrumented`). [`SimSpec`] collapses
-//! all of it: one value describes the cluster size, the engine and shard
-//! count, the machine cost model, fault injection, tracing, metrics, and
-//! telemetry streaming; `DvCluster::from_spec` / `MpiCluster::from_spec`
-//! consume it, and their unified `run()` returns a [`RunReport`].
+//! One value describes the cluster size, the engine and shard count, the
+//! machine cost model (including fault injection), tracing and metrics;
+//! `DvCluster::from_spec` / `MpiCluster::from_spec` consume it, and their
+//! `run()` returns a [`RunReport`]. Telemetry streaming attaches to the
+//! metrics registry (`MetricsRegistry::attach_series`), not to the spec.
 //!
 //! ```
 //! use dv_core::spec::SimSpec;
@@ -22,7 +18,7 @@ use std::sync::Arc;
 
 use crate::config::{ComputeParams, DvParams, IbParams, MachineConfig, MpiParams, PcieParams};
 use crate::fault::FaultPlan;
-use crate::metrics::{MetricsRegistry, MetricsSnapshot, TimeseriesSample};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::time::Time;
 use crate::trace::Tracer;
 
@@ -40,20 +36,7 @@ pub enum Engine {
     Reference,
 }
 
-type SeriesSink = Box<dyn FnMut(&TimeseriesSample) + Send + 'static>;
-
 /// Everything needed to set up a simulated cluster, in one builder.
-///
-/// Field-by-field migration from the old constructor sprawl:
-///
-/// | old | new |
-/// |---|---|
-/// | `DvCluster::new(n)` | `DvCluster::from_spec(SimSpec::new(n))` |
-/// | `.with_config(m)` | `SimSpec::machine(m)` (or `.dv(..)`, `.ib(..)`, …) |
-/// | `.with_metrics(m)` | `SimSpec::metrics(m)` / `SimSpec::instrumented()` |
-/// | `.with_tracer(t)` | `SimSpec::tracer(t)` |
-/// | `Vic::with_faults(..)` | `SimSpec::faults(plan)` → `Vic::from_spec` |
-/// | `Streamer` interval plumbing | `SimSpec::stream(interval, capacity)` |
 pub struct SimSpec {
     /// Number of simulated nodes (one process per node).
     pub nodes: usize,
@@ -70,11 +53,6 @@ pub struct SimSpec {
     pub tracer: Arc<Tracer>,
     /// Metrics registry (disabled by default).
     pub metrics: Arc<MetricsRegistry>,
-    /// Virtual-time telemetry series: `(interval, capacity)`, attached to
-    /// the registry when a backend consumes the spec.
-    pub stream: Option<(Time, usize)>,
-    /// Optional sink receiving each telemetry sample as it is sealed.
-    pub sink: Option<SeriesSink>,
 }
 
 impl SimSpec {
@@ -89,8 +67,6 @@ impl SimSpec {
             machine: MachineConfig::paper_cluster(),
             tracer: Arc::new(Tracer::disabled()),
             metrics: MetricsRegistry::disabled_shared(),
-            stream: None,
-            sink: None,
         }
     }
 
@@ -173,31 +149,6 @@ impl SimSpec {
         self.tracer = tracer;
         self
     }
-
-    /// Record a virtual-time telemetry series at `interval`, ring-buffered
-    /// to `capacity` samples (see `dv_core::metrics::Timeseries`).
-    pub fn stream(mut self, interval: Time, capacity: usize) -> Self {
-        self.stream = Some((interval, capacity));
-        self
-    }
-
-    /// Receive each sealed telemetry sample (e.g. to serialize dv-events-v1
-    /// lines). Implies nothing about `stream`; set both.
-    pub fn stream_sink(mut self, sink: impl FnMut(&TimeseriesSample) + Send + 'static) -> Self {
-        self.sink = Some(Box::new(sink));
-        self
-    }
-
-    /// Apply the streaming configuration to the attached registry. Backends
-    /// call this exactly once when consuming the spec.
-    pub fn arm_stream(&mut self) {
-        if let Some((interval, capacity)) = self.stream.take() {
-            self.metrics.attach_series(interval, capacity);
-        }
-        if let Some(sink) = self.sink.take() {
-            self.metrics.set_series_sink(sink);
-        }
-    }
 }
 
 /// What a unified `run()` returns: the workload's own result plus the
@@ -255,14 +206,6 @@ mod tests {
         assert_eq!(spec.engine, Engine::Reference);
         assert!(spec.metrics.is_enabled());
         assert!(spec.machine.faults.is_some());
-    }
-
-    #[test]
-    fn arm_stream_is_idempotent_after_take() {
-        let mut spec = SimSpec::new(2).instrumented().stream(1_000_000, 64);
-        spec.arm_stream();
-        assert!(spec.stream.is_none());
-        spec.arm_stream(); // second call is a no-op
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample, or `NaN` when empty.
     pub fn min(&self) -> f64 {
         if self.n == 0 {

@@ -9,7 +9,7 @@
 //! Concretely: every element is written *directly to its transposed
 //! position* in the destination VIC's DV memory (one strided block per
 //! source column), all columns in **one** PCIe DMA batch. The receiving
-//! side splits its region into [`CHUNKS`] row ranges, each with its own
+//! side splits its region into `CHUNKS` row ranges, each with its own
 //! group counter, so the host DMA-drains range *k* while range *k+1* is
 //! still arriving — the multi-buffered overlap the paper credits for DV
 //! FFT performance.

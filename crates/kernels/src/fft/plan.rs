@@ -111,13 +111,6 @@ impl FftPlan {
         }
         out
     }
-
-    /// Block partition of the transpose: in the R×C → C×R transpose, the
-    /// block a source node sends to a destination node is
-    /// `rows_per_node × cols_per_node` elements.
-    pub fn transpose_block_elems(&self) -> usize {
-        self.rows_per_node() * self.cols_per_node()
-    }
 }
 
 /// Pack a complex slice into interleaved f64 (for message payloads).

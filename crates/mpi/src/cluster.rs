@@ -2,11 +2,9 @@
 
 use std::sync::Arc;
 
-use dv_core::config::MachineConfig;
-use dv_core::metrics::{record_state_totals, MetricsRegistry};
-use dv_core::spec::{Engine, RunReport, SimSpec};
-use dv_core::trace::Tracer;
-use dv_sim::{JoinSlot, Sim, SimCtx};
+use dv_core::metrics::record_state_totals;
+use dv_core::spec::{RunReport, SimSpec};
+use dv_sim::{Sim, SimCtx};
 
 use crate::comm::{Comm, World};
 use crate::fabric::IbFabric;
@@ -25,33 +23,13 @@ use crate::fabric::IbFabric;
 /// assert!(report.result.iter().all(|&r| r == 0 + 1 + 2 + 3));
 /// ```
 pub struct MpiCluster {
-    /// Number of ranks (one per node, as in the paper's runs).
-    pub nodes: usize,
-    /// Machine parameters.
-    pub config: MachineConfig,
-    /// Trace recorder (disabled by default).
-    pub tracer: Arc<Tracer>,
-    /// Metrics registry (disabled by default).
-    pub metrics: Arc<MetricsRegistry>,
-    /// Scheduler engine (sharded by default).
-    pub engine: Engine,
-    /// Event-queue shards (0 = auto). Never changes results.
-    pub shards: usize,
+    spec: SimSpec,
 }
 
 impl MpiCluster {
-    /// Build a cluster from a [`SimSpec`] — the only non-deprecated
-    /// constructor. Arms the spec's telemetry stream, if one was set.
-    pub fn from_spec(mut spec: SimSpec) -> Self {
-        spec.arm_stream();
-        Self {
-            nodes: spec.nodes,
-            config: spec.machine,
-            tracer: spec.tracer,
-            metrics: spec.metrics,
-            engine: spec.engine,
-            shards: spec.shards,
-        }
+    /// Build a cluster from a [`SimSpec`].
+    pub fn from_spec(spec: SimSpec) -> Self {
+        Self { spec }
     }
 
     /// Run `body` on every rank; returns the per-rank results (rank
@@ -65,33 +43,19 @@ impl MpiCluster {
         T: Send + 'static,
         F: Fn(&Comm, &SimCtx) -> T + Send + Sync + 'static,
     {
-        let mut sim = Sim::with_engine(self.engine, self.shards);
-        sim.set_metrics(Arc::clone(&self.metrics));
-        let fabric = IbFabric::new(self.nodes, self.config.ib.clone());
+        let SimSpec { nodes, shards, engine, ref machine, ref tracer, ref metrics } = self.spec;
+        let mut sim = Sim::with_engine(engine, shards);
+        sim.set_metrics(Arc::clone(metrics));
         let world = World::from_parts(
-            fabric,
-            self.config.mpi.clone(),
-            Arc::clone(&self.tracer),
-            Arc::clone(&self.metrics),
+            IbFabric::new(nodes, machine.ib.clone()),
+            machine.mpi.clone(),
+            Arc::clone(tracer),
+            Arc::clone(metrics),
         );
-        let body = Arc::new(body);
-        let slots: Vec<JoinSlot<T>> = (0..self.nodes).map(|_| JoinSlot::new()).collect();
-        #[allow(clippy::needless_range_loop)] // rank is also the program's identity
-        for rank in 0..self.nodes {
-            let comm = world.comm(rank);
-            let body = Arc::clone(&body);
-            let slot = slots[rank].clone();
-            sim.spawn(format!("rank{rank}"), move |ctx| {
-                slot.put(body(&comm, ctx));
-            });
-        }
-        let (elapsed, trace_hash) = sim.run_hashed();
-        record_state_totals(&self.tracer, &self.metrics);
-        let results = slots
-            .into_iter()
-            .map(|s| s.take().expect("rank did not produce a result"))
-            .collect();
-        RunReport { result: results, elapsed, trace_hash, snapshot: self.metrics.snapshot() }
+        let (result, elapsed, trace_hash) =
+            sim.run_nodes("rank", nodes, move |rank, ctx| body(&world.comm(rank), ctx));
+        record_state_totals(tracer, metrics);
+        RunReport { result, elapsed, trace_hash, snapshot: metrics.snapshot() }
     }
 }
 

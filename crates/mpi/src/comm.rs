@@ -68,10 +68,6 @@ impl Request {
     fn pending() -> Self {
         Self { state: Arc::new(Mutex::new(ReqState { done: false, waiters: WaitSet::new() })) }
     }
-    /// True once the operation completed.
-    pub fn is_done(&self) -> bool {
-        self.state.lock().done
-    }
 }
 
 struct PendingSend {
@@ -94,19 +90,6 @@ pub struct World {
 }
 
 impl World {
-    /// Build the world described by a [`SimSpec`](dv_core::spec::SimSpec):
-    /// the InfiniBand fabric comes from `spec.machine.ib`, MPI tuning from
-    /// `spec.machine.mpi`, tracing and metrics from the spec's attachments.
-    pub fn from_spec(spec: &dv_core::spec::SimSpec) -> Arc<Self> {
-        let fabric = IbFabric::new(spec.nodes, spec.machine.ib.clone());
-        Self::from_parts(
-            fabric,
-            spec.machine.mpi.clone(),
-            Arc::clone(&spec.tracer),
-            Arc::clone(&spec.metrics),
-        )
-    }
-
     /// Build a world from explicit parts; point-to-point traffic is
     /// recorded under `mpi.*` and collectives under `mpi.coll.*` when the
     /// registry is enabled.

@@ -13,10 +13,8 @@
 //! the root `tests/determinism.rs` asserts equality across repeated runs
 //! and across host thread counts.
 
+use dv_core::fnv::{fnv1a, FNV_OFFSET};
 use dv_core::time::Time;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Tag for a process-resume event record.
 const TAG_RESUME: u64 = 1;
@@ -44,10 +42,7 @@ impl OrderAudit {
 
     #[inline]
     fn absorb_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.hash ^= byte as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
+        self.hash = fnv1a(self.hash, &v.to_le_bytes());
     }
 
     /// Absorb a committed resume: the scheduler is about to run process

@@ -104,7 +104,6 @@ pub struct Kernel {
     now: Time,
     seq: u64,
     shards: Vec<BinaryHeap<Event>>,
-    pending: usize,
     /// Park generation per process; a `Resume` event only fires if its
     /// waker's generation matches.
     pub(crate) park_generation: Vec<u64>,
@@ -122,7 +121,6 @@ impl Kernel {
             now: 0,
             seq: 0,
             shards: (0..shards).map(|_| BinaryHeap::new()).collect(),
-            pending: 0,
             park_generation: Vec::new(),
             proc_names: Vec::new(),
             timer_hooks: Vec::new(),
@@ -157,11 +155,6 @@ impl Kernel {
         self.audit.events()
     }
 
-    /// Number of events still pending across all shards.
-    pub fn pending_events(&self) -> usize {
-        self.pending
-    }
-
     fn push(&mut self, time: Time, kind: EventKind) {
         let time = time.max(self.now);
         let seq = self.seq;
@@ -175,7 +168,6 @@ impl Kernel {
             _ => (seq as usize) % self.shards.len(),
         };
         self.shards[shard].push(Event { time, seq, kind });
-        self.pending += 1;
     }
 
     /// Index of the shard holding the globally earliest pending event.
@@ -257,7 +249,6 @@ impl Kernel {
                 Some(ev) => ev,
                 None => break,
             };
-            self.pending -= 1;
             debug_assert!(ev.time >= self.now, "time went backwards");
             match ev.kind {
                 EventKind::Resume(w) => {

@@ -17,7 +17,7 @@
 //! [`OrderAudit`]: crate::audit::OrderAudit
 
 use crate::kernel::EventKind;
-use crate::sim::{publish_and_hash, Report, Sim, SlotWake};
+use crate::sim::{parked_foreground_names, publish_and_hash, Report, Sim, SlotWake};
 use dv_core::time::Time;
 
 impl Sim {
@@ -39,7 +39,7 @@ impl Sim {
                 None => {
                     let live = self.shared.registry.lock().live_foreground;
                     if live > 0 {
-                        let parked = self.parked_foreground_names_ref();
+                        let parked = parked_foreground_names(&self.shared);
                         self.shutdown();
                         panic!(
                             "simulation deadlock: no pending events but {live} foreground \
@@ -104,22 +104,5 @@ impl Sim {
         let (now, hash) = publish_and_hash(&self.shared);
         self.shutdown();
         (now, hash)
-    }
-
-    fn parked_foreground_names_ref(&self) -> Vec<String> {
-        // Take the pids under the registry lock alone, then resolve names
-        // under the kernel lock alone — holding both invites lock-order
-        // trouble (DV-W012) for no benefit on this cold error path.
-        let pids: Vec<usize> = {
-            let reg = self.shared.registry.lock();
-            reg.slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.daemon && !s.finished)
-                .map(|(pid, _)| pid)
-                .collect()
-        };
-        let kernel = self.shared.kernel.lock();
-        pids.into_iter().map(|pid| kernel.proc_names[pid].clone()).collect()
     }
 }

@@ -39,6 +39,7 @@ use dv_core::time::Time;
 
 use crate::kernel::{EventKind, Kernel, Pid, Waker};
 use crate::parker::Parker;
+use crate::sync::JoinSlot;
 
 /// Sentinel panic payload used to unwind parked processes at shutdown.
 pub(crate) struct Shutdown;
@@ -274,6 +275,31 @@ impl Sim {
         }
     }
 
+    /// The SPMD launch every cluster harness shares: spawn `n` foreground
+    /// processes named `"{prefix}{i}"` in index order, each running
+    /// `body(i, ctx)`, and run to completion. Returns the per-process
+    /// results in index order, the final virtual time, and the trace hash
+    /// of [`Sim::run_hashed`].
+    pub fn run_nodes<T, F>(self, prefix: &str, n: usize, body: F) -> (Vec<T>, Time, u64)
+    where
+        T: Send + 'static,
+        F: Fn(usize, &SimCtx) -> T + Send + Sync + 'static,
+    {
+        let body = Arc::new(body);
+        let slots: Vec<JoinSlot<T>> = (0..n).map(|_| JoinSlot::new()).collect();
+        for (i, slot) in slots.iter().enumerate() {
+            let (body, slot) = (Arc::clone(&body), slot.clone());
+            self.spawn(format!("{prefix}{i}"), move |ctx| slot.put(body(i, ctx)));
+        }
+        let (elapsed, trace_hash) = self.run_hashed();
+        let results = slots
+            .iter()
+            .enumerate()
+            .map(|(i, s)| s.take().unwrap_or_else(|| panic!("{prefix}{i} did not finish")))
+            .collect();
+        (results, elapsed, trace_hash)
+    }
+
     /// Unblock every parked thread (their `park()` unwinds with a private
     /// sentinel) and join them. Idempotent.
     pub(crate) fn shutdown(&self) {
@@ -332,7 +358,7 @@ pub(crate) fn publish_and_hash(shared: &Shared) -> (Time, u64) {
 /// Takes the pids under the registry lock alone, then resolves names under
 /// the kernel lock alone — holding both invites lock-order trouble
 /// (DV-W012) for no benefit on this cold error path.
-fn parked_foreground_names(shared: &Shared) -> Vec<String> {
+pub(crate) fn parked_foreground_names(shared: &Shared) -> Vec<String> {
     let pids: Vec<usize> = {
         let reg = shared.registry.lock();
         reg.slots

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use dv_core::spec::Engine;
 use dv_core::sync::Mutex;
 
 use dv_core::time::{ns, us};
@@ -197,15 +198,25 @@ fn daemons_do_not_block_termination() {
     assert_eq!(sim.run(), us(3));
 }
 
+/// Both engines diagnose a drained queue with parked foreground work with
+/// the same message, naming the parked process.
 #[test]
-#[should_panic(expected = "deadlock")]
 fn deadlock_is_reported() {
-    let sim = Sim::new();
-    let port: Port<u32> = Port::new();
-    sim.spawn("stuck", move |ctx| {
-        let _ = port.recv(ctx);
-    });
-    sim.run();
+    let message = |engine| {
+        let payload = std::panic::catch_unwind(|| {
+            let sim = Sim::with_engine(engine, 0);
+            let port: Port<u32> = Port::new();
+            sim.spawn("stuck", move |ctx| {
+                let _ = port.recv(ctx);
+            });
+            sim.run();
+        })
+        .expect_err("a deadlocked simulation must panic");
+        payload.downcast_ref::<String>().cloned().expect("deadlock panics carry a message")
+    };
+    let sharded = message(Engine::Sharded);
+    assert!(sharded.contains("deadlock") && sharded.contains("\"stuck\""), "{sharded}");
+    assert_eq!(sharded, message(Engine::Reference));
 }
 
 #[test]

@@ -15,10 +15,10 @@
 //!
 //! [`traffic`] provides the synthetic patterns from the original Data
 //! Vortex evaluation literature (uniform, hotspot, tornado, bit-reverse,
-//! bursty) for the robustness studies the paper cites (refs [14][15]).
+//! bursty) for the robustness studies the paper cites (refs \[14\]\[15\]).
 //! [`faults`] applies a `dv_core::fault::FaultPlan` to the injection and
 //! ejection sides of the switch with deterministic per-link sequencing.
-//! [`reference`] freezes the pre-refactor simulator as the golden
+//! [`reference`](mod@reference) freezes the pre-refactor simulator as the golden
 //! equivalence target and perf baseline for the optimized hot path;
 //! [`net_reference`] does the same for the rival-topology routed engine.
 

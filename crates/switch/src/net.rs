@@ -595,14 +595,6 @@ impl AnyTopology {
             AnyTopology::MinPath(_) => TopoKind::MinPath,
         }
     }
-
-    /// The Data Vortex topology, if this is one.
-    pub fn as_vortex(&self) -> Option<&Topology> {
-        match self {
-            AnyTopology::Vortex(t) => Some(t),
-            _ => None,
-        }
-    }
 }
 
 impl NetworkTopology for AnyTopology {
@@ -704,7 +696,7 @@ struct RoutedFlushed {
 ///   deterministic [`NetworkTopology::route_one_hop`] route.
 /// * Each node forwards from its FIFO in order; at most one packet per
 ///   outgoing link per cycle; a full receiver queue
-///   ([`NODE_QUEUE_CAP`]) blocks the packet in place (backpressure, no
+///   (`NODE_QUEUE_CAP`) blocks the packet in place (backpressure, no
 ///   loss).
 /// * Each output port ejects at most one packet per cycle.
 /// * Injection (after movement, one packet per port per cycle) enters
@@ -734,9 +726,9 @@ struct RoutedFlushed {
 ///   palette packs entries to one byte, keeping the table L2-resident
 ///   at sweep sizes. `inject_at`/`eject_at` cache the per-port entry
 ///   and exit nodes the same way.
-/// * **Packet arena.** Fixed-width [`RoutedPkt`] slots in one `Vec` with
+/// * **Packet arena.** Fixed-width `RoutedPkt` slots in one `Vec` with
 ///   a free-list; per-node fixed-capacity ring queues
-///   (`ring`/`q_head`/`q_len`, [`NODE_QUEUE_CAP`] entries each) replace
+///   (`ring`/`q_head`/`q_len`, `NODE_QUEUE_CAP` entries each) replace
 ///   `vec![VecDeque; nodes]`. A ring entry packs
 ///   `slot << 32 | dst_port << 16 | hops`, so a hop reads and writes one
 ///   `u64` — the arena is touched only at injection and ejection — and

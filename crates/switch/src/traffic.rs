@@ -433,7 +433,7 @@ impl LoadSweep {
     /// Run a whole sweep with the points fanned out across OS threads.
     ///
     /// Each point is an independent simulation seeded exactly as in the
-    /// serial path ([`LoadSweep::run_core`] re-seeds from `self.seed` per
+    /// serial path (`LoadSweep::run_core` re-seeds from `self.seed` per
     /// point), workers claim points from a shared index, and results are
     /// collected — and published into the optional metrics registry — in
     /// input order. The returned points and every registry side effect are
