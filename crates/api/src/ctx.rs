@@ -1,7 +1,6 @@
 //! The per-node Data Vortex API handle.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dv_core::packet::{Packet, PacketHeader, GROUP_COUNTERS, PAYLOAD_BYTES};
@@ -67,6 +66,35 @@ pub struct Backpressure {
     pub credit: i64,
 }
 
+/// Split `items` into one batch per destination, in ascending destination
+/// order with the items' order kept inside each batch. A counting pass
+/// sizes every batch exactly; a single-destination send passes through
+/// whole. `items` must not be empty.
+fn batches_by_dest<T>(
+    items: Vec<T>,
+    nodes: usize,
+    dest: impl Fn(&T) -> NodeId,
+) -> Vec<(NodeId, Vec<T>)> {
+    let first = dest(&items[0]);
+    if items.iter().all(|x| dest(x) == first) {
+        return vec![(first, items)];
+    }
+    // Per destination: its item count, then its batch's index.
+    let mut slot = vec![0usize; nodes];
+    for x in &items {
+        slot[dest(x)] += 1;
+    }
+    let mut batches = Vec::with_capacity(slot.iter().filter(|&&n| n > 0).count());
+    for (d, n) in slot.iter_mut().enumerate().filter(|(_, n)| **n > 0) {
+        batches.push((d, Vec::with_capacity(*n)));
+        *n = batches.len() - 1;
+    }
+    for x in items {
+        batches[slot[dest(&x)]].1.push(x);
+    }
+    batches
+}
+
 /// One node's view of the Data Vortex system.
 pub struct DvCtx {
     world: Arc<DvWorld>,
@@ -128,13 +156,9 @@ impl DvCtx {
             }
         };
 
-        // Group by destination; BTreeMap drains in key order, so the
-        // transmit sequence is deterministic by construction.
-        let mut groups: BTreeMap<NodeId, Vec<Packet>> = BTreeMap::new();
-        for p in packets {
-            groups.entry(p.header.dest).or_default().push(p);
-        }
-
+        // Transmit in ascending destination order: deterministic by
+        // construction.
+        let groups = batches_by_dest(packets, self.nodes(), |p| p.header.dest);
         let mut last = vic_ready;
         ctx.with_kernel(|k| {
             for (dst, batch) in groups {
@@ -198,10 +222,7 @@ impl DvCtx {
                 end
             }
         };
-        let mut groups: BTreeMap<NodeId, Vec<crate::world::BlockWrite>> = BTreeMap::new();
-        for b in blocks {
-            groups.entry(b.dest).or_default().push(b);
-        }
+        let groups = batches_by_dest(blocks, self.nodes(), |b| b.dest);
         let mut last = vic_ready;
         ctx.with_kernel(|k| {
             for (dst, batch) in groups {

@@ -27,13 +27,14 @@
 //!   observe each logical word exactly once. Payloads must therefore be
 //!   globally unique across the run — GUPS uses disjoint LFSR windows,
 //!   BFS packs `(vertex, parent)` pairs that each cross the wire once.
+//! * Both dedup sets see every word the layer sends or receives, so they
+//!   are a flat open-addressing table (`WordSet`) with O(1) inserts and
+//!   no iteration, not an ordered tree.
 //!
 //! Credit ([`DvCtx::fifo_try_send`]) is the *avoidance* half — back off
 //! before a likely overflow; this layer is the *correctness* half — no
 //! loss survives verification. Kernels use pacing/credit for throughput
 //! and verification for the guarantee.
-
-use std::collections::BTreeSet;
 
 use dv_core::packet::{Packet, PacketHeader, GROUP_COUNTERS, SCRATCH_GC};
 use dv_core::time::{self, Time};
@@ -85,6 +86,75 @@ pub struct ReliableStats {
     pub ack_query_timeouts: u64,
 }
 
+/// The dedup sets' word set: open addressing with linear probing, one
+/// `Word` per slot, O(1) per insert.
+///
+/// It offers `insert` and `clear` only. With no way to iterate it, its
+/// slot order can never reach a send (the hazard dv-lint's DV-W001 guards
+/// against for hash containers), and its fixed mixer has no per-process
+/// seed, so probe sequences repeat run to run. The word 0 marks an empty
+/// slot, so a stored 0 is a flag. The table grows by half past a 7/8
+/// load, so it holds 9–14 bytes per stored word; `clear` keeps the
+/// capacity, so a per-epoch set stops allocating once it has seen its
+/// largest epoch.
+#[derive(Default)]
+struct WordSet {
+    /// Open-addressed slots (none before the first insert).
+    slots: Vec<Word>,
+    /// Nonzero words stored.
+    len: usize,
+    has_zero: bool,
+}
+
+impl WordSet {
+    const MIN_SLOTS: usize = 16;
+
+    /// Add `w`; `false` when it was already present.
+    fn insert(&mut self, w: Word) -> bool {
+        if w == 0 {
+            return !std::mem::replace(&mut self.has_zero, true);
+        }
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            let slots = (self.slots.len() * 3 / 2).max(Self::MIN_SLOTS);
+            let old = std::mem::replace(&mut self.slots, vec![0; slots]);
+            for v in old.into_iter().filter(|&v| v != 0) {
+                Self::place(&mut self.slots, v);
+            }
+        }
+        let fresh = Self::place(&mut self.slots, w);
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    /// Put the nonzero `w` into its probe sequence; `false` when present.
+    fn place(slots: &mut [Word], w: Word) -> bool {
+        // Fold the high half in and multiply by 2^64/φ, so words that
+        // share a low half (packed pairs) still spread; the product's high
+        // bits then pick the home slot among any number of slots.
+        let h = (w ^ (w >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut i = ((u128::from(h) * slots.len() as u128) >> 64) as usize;
+        loop {
+            if slots[i] == w {
+                return false;
+            }
+            if slots[i] == 0 {
+                slots[i] = w;
+                return true;
+            }
+            i = if i + 1 == slots.len() { 0 } else { i + 1 };
+        }
+    }
+
+    /// Remove every word; the capacity stays.
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.slots.fill(0);
+        }
+        self.len = 0;
+        self.has_zero = false;
+    }
+}
+
 /// Exactly-once word delivery over the lossy surprise FIFO.
 pub struct ReliableFifo {
     me: NodeId,
@@ -96,10 +166,10 @@ pub struct ReliableFifo {
     /// Last accepted count observed (and reconciled) per destination.
     hw_confirmed: Vec<u64>,
     /// Outbound dedup for the current epoch (cleared by `end_epoch`).
-    seen_out: BTreeSet<Word>,
+    seen_out: WordSet,
     /// Inbound dedup for the whole run (duplicates arrive only from our
     /// peers' retransmissions, which can span epoch boundaries).
-    seen_in: BTreeSet<Word>,
+    seen_in: WordSet,
     stats: ReliableStats,
 }
 
@@ -117,8 +187,8 @@ impl ReliableFifo {
             logs: vec![Vec::new(); nodes],
             wire_epoch: vec![0; nodes],
             hw_confirmed: vec![0; nodes],
-            seen_out: BTreeSet::new(),
-            seen_in: BTreeSet::new(),
+            seen_out: WordSet::default(),
+            seen_in: WordSet::default(),
             stats: ReliableStats::default(),
         }
     }
@@ -379,5 +449,45 @@ impl ReliableFifo {
         m.incr_labeled("api.fifo.retx_rounds", &node, self.stats.retx_rounds);
         m.incr_labeled("api.fifo.ack_queries", &node, self.stats.ack_queries);
         m.incr_labeled("api.fifo.ack_query_timeouts", &node, self.stats.ack_query_timeouts);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use dv_core::rng::SplitMix64;
+
+    use super::WordSet;
+
+    #[test]
+    fn word_set_agrees_with_a_btree_set() {
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut set = WordSet::default();
+        let mut oracle = BTreeSet::new();
+        // Epochs of very different sizes: growth inside an epoch, and
+        // inserts into a table that kept its capacity across `clear`.
+        for (epoch, inserts) in [3000, 40, 60_000, 5000, 0, 700].into_iter().enumerate() {
+            for i in 0..inserts {
+                let w = match rng.next_below(6) {
+                    0 => [0, u64::MAX, 1, 1 << 32][rng.next_below(4) as usize],
+                    // (v, u) pairs that share a low half, and the reverse.
+                    1 => rng.next_below(4096) << 32 | 7,
+                    2 => 7 << 32 | rng.next_below(4096),
+                    3 => rng.next_below(1 << 20) << 32,
+                    4 => rng.next_below(5000),
+                    _ => rng.next_u64(),
+                };
+                assert_eq!(set.insert(w), oracle.insert(w), "epoch {epoch}, insert {i}: {w:#x}");
+                assert!(set.len * 8 <= set.slots.len() * 7, "load above 7/8");
+            }
+            assert_eq!(set.len + usize::from(set.has_zero), oracle.len());
+            let slots = set.slots.len();
+            set.clear();
+            oracle.clear();
+            assert_eq!(set.slots.len(), slots, "clear keeps the capacity");
+            assert!(set.insert(0) && set.insert(u64::MAX) && !set.insert(u64::MAX));
+            oracle.extend([0, u64::MAX]);
+        }
     }
 }

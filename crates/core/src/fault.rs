@@ -206,16 +206,19 @@ impl std::fmt::Display for FaultPlan {
         if self.link_dup > 0.0 {
             write!(f, ",dup={}", self.link_dup)?;
         }
-        if self.eject_stall > 0.0 {
+        // A duration or storm length is printed whenever it differs from
+        // the default, even while its probability or period is zero.
+        let d = Self::default();
+        if self.eject_stall > 0.0 || self.eject_stall_time != d.eject_stall_time {
             write!(f, ",stall={}:{}", self.eject_stall, self.eject_stall_time / 1000)?;
         }
-        if self.gc_set_delay > 0.0 {
+        if self.gc_set_delay > 0.0 || self.gc_set_delay_time != d.gc_set_delay_time {
             write!(f, ",gcrace={}:{}", self.gc_set_delay, self.gc_set_delay_time / 1000)?;
         }
         if self.fifo_drop > 0.0 {
             write!(f, ",fifodrop={}", self.fifo_drop)?;
         }
-        if self.fifo_storm_period > 0 {
+        if self.fifo_storm_period > 0 || self.fifo_storm_len > 0 {
             write!(f, ",fifostorm={}:{}", self.fifo_storm_period, self.fifo_storm_len)?;
         }
         Ok(())
@@ -242,7 +245,11 @@ fn parse_prob(key: &str, s: &str) -> Result<f64, String> {
 fn parse_prob_ns(key: &str, s: &str) -> Result<(f64, Time), String> {
     let (p, ns) =
         s.split_once(':').ok_or_else(|| format!("{key} wants prob:ns, got {s:?}"))?;
-    Ok((parse_prob(key, p)?, crate::time::ns(parse_u64(ns)?)))
+    let ns = parse_u64(ns)?;
+    let t = ns
+        .checked_mul(crate::time::NS)
+        .ok_or_else(|| format!("{key} duration {ns} ns overflows the picosecond clock"))?;
+    Ok((parse_prob(key, p)?, t))
 }
 
 #[cfg(test)]
@@ -304,6 +311,11 @@ mod tests {
         assert_eq!(plan.fifo_storm_period, 257);
         let again = FaultPlan::parse(&plan.to_string()).unwrap();
         assert_eq!(plan, again);
+        // Settings that are inert today still round-trip.
+        for spec in ["stall=0:700", "gcrace=0:9", "fifostorm=0:5", "stall=0.5:18446744073709551"] {
+            let plan = FaultPlan::parse(spec).unwrap();
+            assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan, "{spec}");
+        }
     }
 
     #[test]
@@ -313,6 +325,8 @@ mod tests {
         assert!(FaultPlan::parse("wibble=1").is_err());
         assert!(FaultPlan::parse("stall=0.5").is_err());
         assert!(FaultPlan::parse("fifostorm=10").is_err());
+        assert!(FaultPlan::parse("stall=0.5:18446744073709551615").is_err());
+        assert!(FaultPlan::parse("gcrace=0.5:18446744073709552").is_err());
         // Empty spec = default (inert) plan.
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
     }

@@ -141,8 +141,10 @@ impl Json {
     }
 
     /// Parse a JSON document (must consume all non-whitespace input).
+    /// Arrays and objects may nest at most 256 deep; deeper input is an
+    /// error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -230,9 +232,14 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -276,8 +283,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -488,6 +502,17 @@ mod tests {
     fn malformed_input_is_rejected() {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated", "{\"a\":}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nest = |depth: usize| "[{\"k\":".repeat(depth / 2) + "0" + &"}]".repeat(depth / 2);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 2)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            assert!(Json::parse(&deep).is_err());
         }
     }
 }
